@@ -4,28 +4,41 @@ import (
 	"datasynth/internal/table"
 )
 
-// edgeDedup rejects duplicate undirected edges during configuration-
-// model wiring. The old implementation probed a map[uint64]struct{} on
-// every candidate pair — a hash plus amortised allocation on the
-// hottest loop of LFR. This one is allocation-free at steady state: a
-// round's candidates are packed into (min<<32|max) keys, radix-sorted
-// together with their stream positions, compacted against the sorted
-// set of already-accepted keys, and the winners merged back in. All
-// buffers are reused across rounds and communities.
+// edgeDedup rejects duplicate undirected edges in rounds of candidate
+// pairs, allocation-free at steady state. Candidates are packed into
+// (min<<32|max) keys and checked against the sorted set of keys
+// accepted in earlier rounds (since the last reset); the round's
+// winners are merged back into that set. All buffers are reused across
+// rounds and communities. It has two round resolvers:
 //
-// Semantics are exactly those of the map: within a round the earliest
-// occurrence of a key wins, every later occurrence fails, and a key
-// accepted in any earlier round (since the last reset) always fails.
+//   - pairRound (LFR wiring) keeps stream positions: keys are
+//     radix-sorted together with their pair indices, and within a round
+//     the earliest occurrence of a key wins — exactly the semantics of
+//     probing a map[uint64]struct{} pair by pair.
+//   - appendDedupedPacked (sharded RMAT, rmat_dedup.go) emits each
+//     fresh key once, in sorted key order. Keys are split into buckets
+//     by their top bits, so each bucket is one contiguous key range and
+//     bucket order is key order; buckets are sorted, scanned against
+//     their own slice of the accepted set and merged back on any
+//     number of workers, and concatenating them gives the same bytes
+//     as one global sort.
 type edgeDedup struct {
 	accepted []uint64 // sorted keys of all accepted edges
-	keys     []uint64 // scratch: one round's valid candidate keys, stream order
+	keys     []uint64 // scratch: one round's candidate keys
 	idx      []int32  // scratch: parallel pair indices
 	tmpK     []uint64 // scratch: radix ping-pong
 	tmpI     []int32  // scratch: radix ping-pong
 	count    []int32  // scratch: radix digit counts (1<<16)
 	win      []bool   // scratch: per-pair winner flag
-	newKeys  []uint64 // scratch: winner keys of the round (sorted)
-	merged   []uint64 // scratch: merge target for accepted ∪ newKeys
+	newKeys  []uint64 // scratch: pairRound's winner keys (sorted)
+	merged   []uint64 // scratch: merge target for the next accepted set
+
+	// Bucketed RMAT rounds (appendDedupedPacked).
+	buf         []uint64 // candidate keys grouped by bucket
+	counts      []int32  // per-chunk bucket counts, then write offsets
+	bucketStart []int32  // bucket b spans buf[bucketStart[b]:bucketStart[b+1]]
+	accLo       []int    // bucket b's accepted keys start at accLo[b]
+	winStart    []int    // bucket b's first winner in round order
 
 	// Direct-addressed dedup for phases with a small key universe
 	// (intra-community wiring: at most size² local pair keys). A
@@ -171,80 +184,9 @@ func (d *edgeDedup) mergeNewKeys() {
 	if cap(d.merged) < need {
 		d.merged = make([]uint64, 0, need+need/2)
 	}
-	m := d.merged[:0]
-	i, j := 0, 0
-	for i < len(d.accepted) && j < len(d.newKeys) {
-		if d.accepted[i] < d.newKeys[j] {
-			m = append(m, d.accepted[i])
-			i++
-		} else {
-			m = append(m, d.newKeys[j])
-			j++
-		}
-	}
-	m = append(m, d.accepted[i:]...)
-	m = append(m, d.newKeys[j:]...)
+	m := d.merged[:need]
+	mergeKeys(m, d.accepted, d.newKeys)
 	d.accepted, d.merged = m, d.accepted
-}
-
-// sortKeys sorts a bare key slice with the same adaptive LSD radix as
-// sortByKey, minus the index payload — the fast path for rounds whose
-// consumers don't need stream positions (sharded RMAT emits winners in
-// key order). Returns whichever of keys / the scratch buffer holds the
-// result.
-func (d *edgeDedup) sortKeys(keys []uint64) []uint64 {
-	n := len(keys)
-	if n < 2 {
-		return keys
-	}
-	if cap(d.tmpK) < n {
-		d.tmpK = make([]uint64, n)
-	}
-	if d.count == nil {
-		d.count = make([]int32, 1<<16)
-	}
-	var digitBits uint = 8
-	if n >= 1<<12 {
-		digitBits = 16
-	}
-	radix := uint64(1)<<digitBits - 1
-	// orAll/andAll spot digit positions where every key agrees — e.g.
-	// packed (min<<32|max) keys at scale ≤ 16 have 16 constant-zero
-	// middle bits, a whole pass of nothing.
-	var maxKey uint64
-	orAll, andAll := uint64(0), ^uint64(0)
-	for _, k := range keys {
-		orAll |= k
-		andAll &= k
-	}
-	maxKey = orAll
-	src, dst := keys, d.tmpK[:n]
-	for shift := uint(0); ; shift += digitBits {
-		if (orAll>>shift)&radix != (andAll>>shift)&radix {
-			count := d.count[:radix+1]
-			clear(count)
-			for _, k := range src {
-				count[(k>>shift)&radix]++
-			}
-			var sum int32
-			for i := range count {
-				c := count[i]
-				count[i] = sum
-				sum += c
-			}
-			for _, k := range src {
-				digit := (k >> shift) & radix
-				p := count[digit]
-				count[digit] = p + 1
-				dst[p] = k
-			}
-			src, dst = dst, src
-		}
-		if shift+digitBits >= 64 || maxKey>>(shift+digitBits) == 0 {
-			break
-		}
-	}
-	return src
 }
 
 // sortByKey stable-sorts (keys, idx) by key with an LSD radix sort,

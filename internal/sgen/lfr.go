@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync/atomic"
 
-	"datasynth/internal/par"
 	"datasynth/internal/table"
 	"datasynth/internal/xrand"
 )
@@ -319,9 +317,6 @@ func (l *LFR) wireIntraShards(et *table.EdgeTable, sizes, intra []int, memberBuf
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers > nComm {
-		workers = nComm
-	}
 
 	// wire runs one shard with a worker's reusable scratch (dedup,
 	// stub buffer, local edge sink); only the arena range and counts
@@ -366,28 +361,12 @@ func (l *LFR) wireIntraShards(et *table.EdgeTable, sizes, intra []int, memberBuf
 		return stubs
 	}
 
-	if workers == 1 {
+	parDynamic(nComm, workers, func() func(int) {
 		dd := newEdgeDedup(0)
 		local := &table.EdgeTable{}
 		var stubs []int64
-		for c := 0; c < nComm; c++ {
-			stubs = wire(c, dd, local, stubs)
-		}
-	} else {
-		var next atomic.Int64
-		par.Workers(workers, func(int) {
-			dd := newEdgeDedup(0)
-			local := &table.EdgeTable{}
-			var stubs []int64
-			for {
-				c := int(next.Add(1) - 1)
-				if c >= nComm {
-					return
-				}
-				stubs = wire(c, dd, local, stubs)
-			}
-		})
-	}
+		return func(c int) { stubs = wire(c, dd, local, stubs) }
+	})
 
 	for c := 0; c < nComm; c++ {
 		et.Tail = append(et.Tail, tails[bound[c]:bound[c]+counts[c]]...)

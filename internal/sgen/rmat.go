@@ -19,9 +19,10 @@ import (
 //
 // Generation is sharded (see rmat_shard.go): edge draws are produced
 // in rounds of fixed-size shards, each shard on its own derived RNG
-// stream, and duplicates are rejected by a batched radix
-// sort-and-compact pass. The edge table is a pure function of the seed
-// and the parameters — byte-identical at every worker count.
+// stream, and duplicates are rejected by a bucketed parallel radix
+// sort-and-compact pass (rmat_dedup.go). The edge table is a pure
+// function of the seed and the parameters — byte-identical at every
+// worker count.
 type RMAT struct {
 	A, B, C, D float64
 	EdgeFactor int64
@@ -33,10 +34,11 @@ type RMAT struct {
 	// Graph500 keeps them; the paper's matching experiments are
 	// insensitive to them. Default false removes exact duplicates.
 	KeepDuplicates bool
-	// Workers bounds the concurrency of shard filling (0 = NumCPU,
-	// 1 = serial). Shards draw from independent RNG streams keyed off
-	// (Seed, round, shard) and fill disjoint slab ranges, so the edge
-	// table is byte-identical at every worker count.
+	// Workers bounds the concurrency of shard filling and dedup
+	// (0 = NumCPU, 1 = serial). Shards draw from independent RNG
+	// streams keyed off (Seed, round, shard) and fill disjoint slab
+	// ranges, and dedup emits in key order, so the edge table is
+	// byte-identical at every worker count.
 	Workers int
 
 	// stats of the last Run, for RunNote.

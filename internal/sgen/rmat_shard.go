@@ -3,9 +3,8 @@ package sgen
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
+	"time"
 
-	"datasynth/internal/par"
 	"datasynth/internal/table"
 	"datasynth/internal/xrand"
 )
@@ -23,11 +22,14 @@ import (
 //     NewStream(seed).DeriveStream("rmat.shard").DeriveN(r<<20|s).
 //     Shards can run on any number of workers in any order — the slab
 //     content is a pure function of (seed, round, shard).
-//   - After the slab is full, one sequential pass resolves it in slab
-//     order: out-of-range endpoints (cycle-walk for non-power-of-two n)
-//     and — unless KeepDuplicates — self-loops and duplicate edges are
-//     rejected through the LFR-style radix sort-and-compact dedup, and
-//     the survivors append to the edge table in slab order.
+//   - After the slab is full, the round resolves it: out-of-range
+//     endpoints (cycle-walk for non-power-of-two n) and — unless
+//     KeepDuplicates — self-loops and duplicate edges are rejected, and
+//     the survivors append to the edge table in sorted key order. The
+//     dedup (rmat_dedup.go) splits the candidate keys into buckets by
+//     their top bits; each bucket is a contiguous key range, so buckets
+//     sort, dedup and merge into the accepted set on any number of
+//     workers and still concatenate to the one global key order.
 //   - Rounds refill deterministically: the next round's draw budget is
 //     a function of how many edges are still missing, which is itself
 //     deterministic, so the final edge table is byte-identical at
@@ -166,17 +168,22 @@ type rmatStats struct {
 	draws   int64
 	edges   int64
 	workers int
+	// Wall time filling slabs and resolving them (dedup, or the range
+	// filter under KeepDuplicates), summed over rounds.
+	draw, dedup time.Duration
 }
 
 // RunNote implements Noter: a one-line telemetry note about the last
-// Run for the engine's timing report.
+// Run for the engine's timing report. The leading
+// "rmat <r> rounds, <x> draws/edge, <w> workers" is parsed by tools;
+// new fields go after it.
 func (r *RMAT) RunNote() string {
 	st := r.lastStats
 	if st.edges == 0 {
 		return ""
 	}
-	return fmt.Sprintf("rmat %d rounds, %.2f draws/edge, %d workers",
-		st.rounds, float64(st.draws)/float64(st.edges), st.workers)
+	return fmt.Sprintf("rmat %d rounds, %.2f draws/edge, %d workers, draw %.3fs, dedup %.3fs",
+		st.rounds, float64(st.draws)/float64(st.edges), st.workers, st.draw.Seconds(), st.dedup.Seconds())
 }
 
 // runSharded generates m = EdgeFactor·n edges in sharded rounds.
@@ -213,13 +220,13 @@ func (r *RMAT) runSharded(n int64) (*table.EdgeTable, error) {
 		need := m - et.Len()
 		draws := rmatRoundDraws(round, need)
 		before := et.Len()
+		drawStart := time.Now()
 		if packed {
 			if cap(slab) < int(draws) {
 				slab = make([]uint64, draws)
 			}
 			slab = slab[:draws]
 			r.fillSlabPacked(base, round, slab, al, workers)
-			dd.appendDedupedPacked(et, slab, n, need)
 		} else {
 			if cap(slabT) < int(draws) {
 				slabT = make([]int64, draws)
@@ -227,12 +234,18 @@ func (r *RMAT) runSharded(n int64) (*table.EdgeTable, error) {
 			}
 			slabT, slabH = slabT[:draws], slabH[:draws]
 			r.fillSlab(base, round, slabT, slabH, scale, al, workers)
-			if r.KeepDuplicates {
-				rmatAppendInRange(et, slabT, slabH, n, need)
-			} else {
-				dd.appendDeduped(et, slabT, slabH, n, need)
-			}
 		}
+		dedupStart := time.Now()
+		switch {
+		case packed:
+			dd.appendDedupedPacked(et, slab, n, need, workers)
+		case r.KeepDuplicates:
+			rmatAppendInRange(et, slabT, slabH, n, need)
+		default:
+			dd.appendDeduped(et, slabT, slabH, n, need, workers)
+		}
+		r.lastStats.draw += dedupStart.Sub(drawStart)
+		r.lastStats.dedup += time.Since(dedupStart)
 		r.lastStats.rounds = round + 1
 		r.lastStats.draws += draws
 		if et.Len() == before {
@@ -281,31 +294,10 @@ func shardStream(base xrand.Stream, round, s int) xrand.Seq {
 // completion order is irrelevant.
 func shardLoop(draws int64, workers int, fill func(s int, lo, hi int64)) {
 	nShards := int((draws + rmatShardSize - 1) / rmatShardSize)
-	run := func(s int) {
-		lo := int64(s) * rmatShardSize
-		hi := lo + rmatShardSize
-		if hi > draws {
-			hi = draws
-		}
-		fill(s, lo, hi)
-	}
-	if workers > nShards {
-		workers = nShards
-	}
-	if workers <= 1 {
-		for s := 0; s < nShards; s++ {
-			run(s)
-		}
-		return
-	}
-	var next atomic.Int64
-	par.Workers(workers, func(int) {
-		for {
-			s := int(next.Add(1) - 1)
-			if s >= nShards {
-				return
-			}
-			run(s)
+	parDynamic(nShards, workers, func() func(int) {
+		return func(s int) {
+			lo := int64(s) * rmatShardSize
+			fill(s, lo, min(lo+rmatShardSize, draws))
 		}
 	})
 }
@@ -408,49 +400,25 @@ func drawShardAliasPacked(q *xrand.Seq, slab []uint64, al *rmatAlias) {
 // drawShard fills one shard's slab range with per-level
 // quadrant-recursion draws — the Noise path, where the quadrant
 // probabilities change at every level and the alias tables cannot
-// apply. The noiseless branch is kept as the reference implementation
-// the alias path is property-tested against.
+// apply.
 func (r *RMAT) drawShard(q *xrand.Seq, tails, heads []int64, scale uint) {
-	if r.Noise > 0 {
-		a, b, c := r.A, r.B, r.C
-		for i := range tails {
-			var t, h int64
-			for level := scale; level > 0; level-- {
-				u := q.Float64()
-				// Symmetric noise keeps expectation fixed.
-				nz := (q.Float64() - 0.5) * 2 * r.Noise
-				al := a + a*nz
-				bl := b - b*nz/2
-				cl := c - c*nz/2
-				bit := int64(1) << (level - 1)
-				switch {
-				case u < al:
-					// quadrant (0,0): nothing to add
-				case u < al+bl:
-					h |= bit
-				case u < al+bl+cl:
-					t |= bit
-				default:
-					t |= bit
-					h |= bit
-				}
-			}
-			tails[i], heads[i] = t, h
-		}
-		return
-	}
-	a, ab, abc := r.A, r.A+r.B, r.A+r.B+r.C
+	a, b, c := r.A, r.B, r.C
 	for i := range tails {
 		var t, h int64
 		for level := scale; level > 0; level-- {
 			u := q.Float64()
+			// Symmetric noise keeps expectation fixed.
+			nz := (q.Float64() - 0.5) * 2 * r.Noise
+			al := a + a*nz
+			bl := b - b*nz/2
+			cl := c - c*nz/2
 			bit := int64(1) << (level - 1)
 			switch {
-			case u < a:
+			case u < al:
 				// quadrant (0,0): nothing to add
-			case u < ab:
+			case u < al+bl:
 				h |= bit
-			case u < abc:
+			case u < al+bl+cl:
 				t |= bit
 			default:
 				t |= bit
@@ -476,86 +444,4 @@ func rmatAppendInRange(et *table.EdgeTable, tails, heads []int64, n, limit int64
 		et.Add(t, h)
 		limit--
 	}
-}
-
-// appendDeduped resolves one deduped round: candidates
-// (tails[i], heads[i]) with self-loops and endpoints outside [0, n)
-// dropped are canonicalised to (min, max), and the distinct keys not
-// yet in the accepted set — duplicates within the round or against any
-// earlier round lose — append to et in sorted key order, at most limit
-// of them. Sorted-order emission is what makes the round cheap: the
-// radix pass needs no index payload and no per-candidate winner flags,
-// and any fixed deterministic order is as good as slab order for the
-// worker-count-invariance contract. Winner keys merge into the
-// accepted set so later rounds reject them.
-func (d *edgeDedup) appendDeduped(et *table.EdgeTable, tails, heads []int64, n, limit int64) {
-	nCand := len(tails)
-	// Sized up front: RMAT rounds are millions of candidates, and
-	// append doubling from a cold buffer would copy the whole round
-	// twice.
-	if cap(d.keys) < nCand {
-		d.keys = make([]uint64, 0, nCand)
-	}
-	d.keys = d.keys[:0]
-	for i := 0; i < nCand; i++ {
-		t, h := tails[i], heads[i]
-		if t == h || t >= n || h >= n {
-			continue
-		}
-		d.keys = append(d.keys, packEdgeKey(t, h))
-	}
-	d.flushDeduped(et, limit)
-}
-
-// appendDedupedPacked is appendDeduped over an already packed
-// candidate slab (drawShardAliasPacked's output): filter self-loops
-// (min == max) and out-of-range keys, then resolve as usual.
-func (d *edgeDedup) appendDedupedPacked(et *table.EdgeTable, slab []uint64, n, limit int64) {
-	if cap(d.keys) < len(slab) {
-		d.keys = make([]uint64, 0, len(slab))
-	}
-	d.keys = d.keys[:0]
-	for _, k := range slab {
-		max := k & 0xffffffff
-		if k>>32 == max || int64(max) >= n {
-			continue
-		}
-		d.keys = append(d.keys, k)
-	}
-	d.flushDeduped(et, limit)
-}
-
-// flushDeduped resolves the candidate keys collected in d.keys: sort,
-// drop duplicates within the round and against the accepted set, and
-// append at most limit winners to et in sorted key order.
-func (d *edgeDedup) flushDeduped(et *table.EdgeTable, limit int64) {
-	keys := d.sortKeys(d.keys)
-
-	// Runs of equal keys against the accepted set (two-pointer: both
-	// sorted); the first fresh key of each run wins.
-	d.newKeys = d.newKeys[:0]
-	ai := 0
-	for i := 0; i < len(keys); {
-		key := keys[i]
-		j := i + 1
-		for j < len(keys) && keys[j] == key {
-			j++
-		}
-		i = j
-		for ai < len(d.accepted) && d.accepted[ai] < key {
-			ai++
-		}
-		if ai < len(d.accepted) && d.accepted[ai] == key {
-			continue
-		}
-		if limit > 0 {
-			et.Add(int64(key>>32), int64(key&0xffffffff))
-			limit--
-		}
-		// Merging every winner key (even ones dropped by the limit) is
-		// sound: the limit only truncates the final round, after which
-		// no further round consults the accepted set.
-		d.newKeys = append(d.newKeys, key)
-	}
-	d.mergeNewKeys()
 }

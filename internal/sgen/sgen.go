@@ -34,7 +34,9 @@ package sgen
 
 import (
 	"fmt"
+	"sync/atomic"
 
+	"datasynth/internal/par"
 	"datasynth/internal/table"
 )
 
@@ -119,4 +121,30 @@ func searchNodesForEdges(numEdges int64, edgesAt func(n int64) float64) (int64, 
 		}
 	}
 	return lo, nil
+}
+
+// parDynamic runs every index of [0, n) through a worker function on
+// up to workers goroutines, handing indices out on demand so uneven
+// items balance. newWorker is called once per worker; per-worker
+// scratch lives in the closure it returns.
+func parDynamic(n, workers int, newWorker func() func(i int)) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		fn := newWorker()
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	par.Workers(workers, func(int) {
+		fn := newWorker()
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package table
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -291,13 +292,60 @@ const (
 	maxColumnarRows = maxColumnarBlock / 8
 )
 
-func readName(r *bufio.Reader) (string, error) {
+// columnarReader is the decoder's input: a buffered reader that knows
+// how many input bytes are left, so a declared length is checked
+// against what the input can still deliver before anything is
+// allocated for it. A corrupt length then fails as a truncated file
+// instead of demanding up to maxColumnarBlock bytes of memory.
+type columnarReader struct {
+	*bufio.Reader
+	rest *io.LimitedReader // the part of the input not yet buffered
+}
+
+// newColumnarReader sizes r's remaining input: by seeking when r is an
+// io.Seeker (files, bytes.Reader), else by reading the stream to its
+// end first, so the budget is always exact.
+func newColumnarReader(r io.Reader) (*columnarReader, error) {
+	var size int64
+	if s, ok := r.(io.Seeker); ok {
+		cur, err := s.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return nil, fmt.Errorf("table: sizing columnar input: %w", err)
+		}
+		end, err := s.Seek(0, io.SeekEnd)
+		if err != nil {
+			return nil, fmt.Errorf("table: sizing columnar input: %w", err)
+		}
+		if _, err := s.Seek(cur, io.SeekStart); err != nil {
+			return nil, fmt.Errorf("table: sizing columnar input: %w", err)
+		}
+		size = max(end-cur, 0)
+	} else {
+		data, err := io.ReadAll(r)
+		if err != nil {
+			return nil, fmt.Errorf("table: reading columnar input: %w", err)
+		}
+		r, size = bytes.NewReader(data), int64(len(data))
+	}
+	rest := &io.LimitedReader{R: r, N: size}
+	return &columnarReader{Reader: bufio.NewReaderSize(rest, 1<<16), rest: rest}, nil
+}
+
+// left returns the number of input bytes not yet read.
+func (r *columnarReader) left() uint64 {
+	return uint64(r.rest.N) + uint64(r.Buffered())
+}
+
+func readName(r *columnarReader) (string, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
 		return "", err
 	}
 	if n > maxColumnarName {
 		return "", fmt.Errorf("table: columnar name length %d exceeds limit", n)
+	}
+	if n > r.left() {
+		return "", fmt.Errorf("table: columnar name length %d exceeds the %d bytes left (file truncated or corrupt)", n, r.left())
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -307,16 +355,20 @@ func readName(r *bufio.Reader) (string, error) {
 }
 
 // readBlock reads one block's payload, verifying length and CRC.
-func readBlock(r *bufio.Reader, wantLen uint64, what string) ([]byte, error) {
+// wantLen < 0 accepts any length.
+func readBlock(r *columnarReader, wantLen int64, what string) ([]byte, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, err
 	}
-	if wantLen != 0 && n != wantLen {
+	if wantLen >= 0 && n != uint64(wantLen) {
 		return nil, fmt.Errorf("table: columnar %s block is %d bytes, want %d", what, n, wantLen)
 	}
 	if n > maxColumnarBlock {
 		return nil, fmt.Errorf("table: columnar %s block length %d exceeds limit (file corrupt)", what, n)
+	}
+	if n > r.left() {
+		return nil, fmt.Errorf("table: columnar %s block length %d exceeds the %d bytes left (file truncated or corrupt)", what, n, r.left())
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
@@ -332,8 +384,8 @@ func readBlock(r *bufio.Reader, wantLen uint64, what string) ([]byte, error) {
 	return payload, nil
 }
 
-func readIntBlock(r *bufio.Reader, rows int64, what string) ([]int64, error) {
-	payload, err := readBlock(r, uint64(8*rows), what)
+func readIntBlock(r *columnarReader, rows int64, what string) ([]int64, error) {
+	payload, err := readBlock(r, 8*rows, what)
 	if err != nil {
 		return nil, err
 	}
@@ -344,8 +396,8 @@ func readIntBlock(r *bufio.Reader, rows int64, what string) ([]int64, error) {
 	return vals, nil
 }
 
-func readFloatBlock(r *bufio.Reader, rows int64, what string) ([]float64, error) {
-	payload, err := readBlock(r, uint64(8*rows), what)
+func readFloatBlock(r *columnarReader, rows int64, what string) ([]float64, error) {
+	payload, err := readBlock(r, 8*rows, what)
 	if err != nil {
 		return nil, err
 	}
@@ -356,8 +408,8 @@ func readFloatBlock(r *bufio.Reader, rows int64, what string) ([]float64, error)
 	return vals, nil
 }
 
-func readStringBlock(r *bufio.Reader, rows int64, what string) ([]string, error) {
-	payload, err := readBlock(r, 0, what)
+func readStringBlock(r *columnarReader, rows int64, what string) ([]string, error) {
+	payload, err := readBlock(r, -1, what)
 	if err != nil {
 		return nil, err
 	}
@@ -382,9 +434,14 @@ func readStringBlock(r *bufio.Reader, rows int64, what string) ([]string, error)
 	return vals, nil
 }
 
-// ReadColumnarTable decodes one columnar file from r.
+// ReadColumnarTable decodes one columnar file from r, which must hold
+// nothing after it. Malformed input of any length returns an error,
+// and memory use stays proportional to the input's size.
 func ReadColumnarTable(r io.Reader) (*ColumnarTable, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	br, err := newColumnarReader(r)
+	if err != nil {
+		return nil, err
+	}
 	magic := make([]byte, len(columnarMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("table: reading columnar magic: %w", err)

@@ -3,9 +3,11 @@ package table
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -279,4 +281,76 @@ func TestColumnarRejectsAbsurdRowCount(t *testing.T) {
 			t.Errorf("rows=%d: error %v is not the row-count guard", rows, err)
 		}
 	}
+}
+
+// columnarOOMSeed declares a zero-row edge table whose tail block
+// claims ~13 GB: the 14-byte file that once made the reader allocate
+// the declared length before reading a byte.
+const columnarOOMSeed = "DSC1E\x00\x000\xff\xff\xff\xff0\x00"
+
+// TestColumnarDeclaredLengthBoundedByInput: a block length larger than
+// the input must fail without allocating it, from a seekable reader
+// and from a plain stream alike — both for the zero-row edge seed and
+// for a string block, whose length the row count does not fix.
+func TestColumnarDeclaredLengthBoundedByInput(t *testing.T) {
+	var str bytes.Buffer
+	str.WriteString("DSC1N\x01T\x01\x01") // node type "T", 1 row, 1 column
+	str.Write([]byte{3, 'T', '.', 'x', byte(KindString)})
+	var scratch [10]byte
+	str.Write(scratch[:putUvarintLen(scratch[:], 1<<33)]) // 8 GiB payload
+	for name, in := range map[string]string{"edge seed": columnarOOMSeed, "string block": str.String()} {
+		for kind, r := range map[string]io.Reader{
+			"seeker": strings.NewReader(in),
+			"stream": struct{ io.Reader }{strings.NewReader(in)},
+		} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := ReadColumnarTable(r)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Errorf("%s from %s: accepted", name, kind)
+			} else if name == "string block" && !strings.Contains(err.Error(), "bytes left") {
+				t.Errorf("%s from %s: error %v, want the bytes-left guard", name, kind, err)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+				t.Errorf("%s from %s: decoding %d bytes allocated %d bytes", name, kind, len(in), alloc)
+			}
+		}
+	}
+}
+
+// FuzzReadColumnar: any input decodes to a table or returns an error —
+// never a panic, and never an allocation out of proportion to the
+// input. Stream and seekable input must agree.
+func FuzzReadColumnar(f *testing.F) {
+	f.Add([]byte(columnarOOMSeed))
+	d := roundTripDataset()
+	var buf bytes.Buffer
+	if err := WriteNodeColumnar(&buf, "User", 5, d.NodeProps["User"]); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bytes.Clone(buf.Bytes()))
+	buf.Reset()
+	if err := WriteEdgeColumnar(&buf, d.Edges["follows"], d.EdgeProps["follows"]); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bytes.Clone(buf.Bytes()))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ct, err := ReadColumnarTable(bytes.NewReader(data))
+		_, streamErr := ReadColumnarTable(struct{ io.Reader }{bytes.NewReader(data)})
+		if (err == nil) != (streamErr == nil) {
+			t.Fatalf("seekable error %v, stream error %v", err, streamErr)
+		}
+		if err != nil {
+			return
+		}
+		if ct.Edges != nil && ct.Edges.Len() != ct.Rows {
+			t.Fatalf("edge table has %d edges, header says %d rows", ct.Edges.Len(), ct.Rows)
+		}
+		for _, pt := range ct.Props {
+			if pt.Len() != ct.Rows {
+				t.Fatalf("column %s has %d values, header says %d rows", pt.Name, pt.Len(), ct.Rows)
+			}
+		}
+	})
 }
