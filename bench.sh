@@ -3,7 +3,7 @@
 # throughput benchmarks (CSV serial vs concurrent vs JSONL vs columnar
 # on the Figure3_LFR100k dataset), the datasynthd service path (cold
 # submit vs warm cache hit — with and without eviction pressure — vs
-# singleflight storm), and the bipartite matcher (serial vs windowed)
+# singleflight storm), and the bipartite matcher
 # with -benchmem, and write a machine-readable snapshot
 # (BENCH_pr<N>.json) so the perf trajectory is tracked PR over PR.
 #

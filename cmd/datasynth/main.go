@@ -73,8 +73,6 @@ func main() {
 	example := flag.Bool("example", false, "print an example schema and exit")
 	verbose := flag.Bool("v", false, "log task progress")
 	workers := flag.Int("workers", 0, "scheduler and intra-task worker bound (0 = NumCPU, 1 = sequential); output is byte-identical at any count")
-	window := flag.Int("window", 0, "SBM-Part stream window (0 = auto, negative = serial); output is byte-identical at any setting")
-	refineWindow := flag.Int("refinewindow", 0, "stream window of SBM-Part's re-streaming refinement passes (0 = inherit -window, negative = serial); output is byte-identical at any setting")
 	exportWorkers := flag.Int("exportworkers", 0, "concurrent table writers during export (0 = inherit -workers, 1 = one table at a time); file bytes are identical at any count")
 	timings := flag.Bool("timings", false, "print the per-task timing report and end-to-end critical path (generation + export)")
 	flag.Parse()
@@ -164,8 +162,6 @@ func main() {
 	}
 	eng := core.New(s)
 	eng.Workers = *workers
-	eng.MatchWindow = *window
-	eng.RefineWindow = *refineWindow
 	eng.ExportFormat = exportFormat
 	eng.ExportWorkers = *exportWorkers
 	if *verbose {

@@ -31,37 +31,22 @@
 //
 // # Intra-task parallelism and the determinism contract
 //
-// Beyond task-level scheduling, the two largest tasks shard
-// internally, under one invariant: the dataset is a pure function of
-// the schema seed — byte-identical at every worker count and window
-// size, verified end to end by hashing exported CSV/JSONL files
-// (internal/core TestExportedDatasetGoldenDeterminism).
+// Beyond task-level scheduling, the largest tasks shard internally,
+// under one invariant: the dataset is a pure function of the schema
+// seed — byte-identical at every worker count, verified end to end by
+// hashing exported CSV/JSONL files (internal/core
+// TestExportedDatasetGoldenDeterminism).
 //
-//   - Windowed SBM-Part (internal/match): the node stream is processed
-//     in fixed-size windows. A parallel scan phase classifies every
-//     window node's neighbourhood against a frozen snapshot of the
-//     partial assignment; a sequential commit phase patches in the
-//     neighbours placed earlier in the same window — reconstructing
-//     exactly the counts, in exactly the floating-point summation
-//     order, the serial stream would see — and places nodes in stream
-//     order. Knobs: SBMPart.Window / Options.Window (0 = auto,
-//     <= 1 = serial) and Workers; cmd flags -window / -workers.
-//   - Windowed re-streaming refinement (internal/match): the
-//     multi-pass matcher (restreamed-LDG refinement, the schema's
-//     `passes` knob) applies the same scan/commit split to every
-//     refinement pass. Scans classify each neighbour under the frozen
-//     *hybrid* assignment — new group if already re-placed, previous-
-//     pass group if it cannot move within the window — and only
-//     same-window neighbours stay pending for the commit to patch.
-//     The per-pass quota ledger and the isolated-node fallback run
-//     exclusively in the sequential commit, so the refined partition
-//     is a pure function of the seed: byte-identical at every
-//     refinement window size and worker count, including the FP
-//     summation order of the vacate/re-add joint-matrix updates.
-//     Knobs: SBMPart.RefineWindow / Options.RefineWindow /
-//     Engine.RefineWindow (0 = inherit the first-pass window,
-//     negative = serial); cmd flag -refinewindow. Per-pass wall times
-//     surface in the -timings report as match-task notes.
+//   - SBM-Part (internal/match) is one serial stream, as in the paper:
+//     every placement reads the groups of the neighbours placed before
+//     it. A windowed variant (parallel neighbourhood scans, serial
+//     commit) measured slower than the serial stream on 2 cores and
+//     was removed. The multi-pass matcher (restreamed-LDG refinement,
+//     the schema's `passes` knob) opens each pass by rebuilding the
+//     joint matrix of the previous assignment, sharded over node
+//     ranges across Workers; the increments are integral, so every
+//     shard split sums to the same bits. Per-pass wall times surface
+//     in the -timings report as match-task notes.
 //   - Sharded LFR wiring (internal/sgen): once community sizes and
 //     memberships are fixed, each community's internal configuration
 //     model is an independent shard. Shard c draws from its own RNG
@@ -105,9 +90,9 @@
 //     Files stage as temp files and rename into place only after
 //     every table succeeded, so a failed export never leaves a
 //     partial directory. The exported bytes are hash-verified
-//     identical across scheduler workers, match windows, refinement
-//     windows and export workers (internal/core
-//     TestExportedDatasetGoldenDeterminism and its refined variant).
+//     identical across scheduler workers and export workers
+//     (internal/core TestExportedDatasetGoldenDeterminism and its
+//     refined variant).
 //
 // # Serving generation: datasynthd
 //

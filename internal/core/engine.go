@@ -49,16 +49,6 @@ type Engine struct {
 	// per-property row generation; 0 means NumCPU, 1 runs the plan
 	// strictly sequentially. The output is byte-identical at any value.
 	Workers int
-	// MatchWindow sets the stream window of the windowed-parallel
-	// SBM-Part used by match tasks: 0 picks the matcher's default
-	// (serial when the engine is single-worker), negative forces the
-	// serial stream. Every setting yields a byte-identical dataset.
-	MatchWindow int
-	// RefineWindow sets the stream window of SBM-Part's re-streaming
-	// refinement passes (the schema's `passes` knob): 0 inherits the
-	// resolved MatchWindow, negative forces serial refinement. Every
-	// setting yields a byte-identical dataset.
-	RefineWindow int
 	// ExportFormat selects the on-disk encoding used by Export
 	// (the zero value is CSV).
 	ExportFormat table.Format

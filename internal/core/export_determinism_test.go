@@ -46,25 +46,23 @@ func hashDir(t *testing.T, dir string) map[string]string {
 	return hashes
 }
 
-// exportHashes generates the schema at the given worker count, match
-// window and refinement window, exports it in every format at the
-// given export worker count, and returns the per-file SHA-256 set.
-func exportHashes(t *testing.T, s *schema.Schema, workers, window, refineWindow, exportWorkers int) map[string]string {
+// exportHashes generates the schema at the given worker count,
+// exports it in every format at the given export worker count, and
+// returns the per-file SHA-256 set.
+func exportHashes(t *testing.T, s *schema.Schema, workers, exportWorkers int) map[string]string {
 	t.Helper()
 	e := New(s)
 	e.Workers = workers
-	e.MatchWindow = window
-	e.RefineWindow = refineWindow
 	d, err := e.Generate()
 	if err != nil {
-		t.Fatalf("workers=%d window=%d: %v", workers, window, err)
+		t.Fatalf("workers=%d: %v", workers, err)
 	}
 	dir := t.TempDir()
 	hashes := map[string]string{}
 	for _, format := range []table.Format{table.FormatCSV, table.FormatJSONL, table.FormatColumnar} {
 		sub := filepath.Join(dir, format.String())
 		if _, err := d.Export(sub, table.ExportOptions{Format: format, Workers: exportWorkers}); err != nil {
-			t.Fatalf("workers=%d window=%d %v: %v", workers, window, format, err)
+			t.Fatalf("workers=%d %v: %v", workers, format, err)
 		}
 		for name, h := range hashDir(t, sub) {
 			hashes[format.String()+"/"+name] = h
@@ -73,38 +71,46 @@ func exportHashes(t *testing.T, s *schema.Schema, workers, window, refineWindow,
 	return hashes
 }
 
+// exportConfigs is the {scheduler workers, export workers} matrix both
+// golden-determinism tests sweep against their serial baseline.
+var exportConfigs = []struct{ workers, exportWorkers int }{
+	{1, 4},
+	{runtime.NumCPU(), runtime.NumCPU()},
+	{runtime.NumCPU(), 0}, // auto export workers
+	{runtime.NumCPU(), 8},
+	{4, 2},
+}
+
+// checkExportConfigs regenerates s at every exportConfigs entry and
+// compares each exported file's hash against ref.
+func checkExportConfigs(t *testing.T, s func() *schema.Schema, ref map[string]string) {
+	t.Helper()
+	for _, cfg := range exportConfigs {
+		got := exportHashes(t, s(), cfg.workers, cfg.exportWorkers)
+		if len(got) != len(ref) {
+			t.Fatalf("workers=%d: %d files, want %d", cfg.workers, len(got), len(ref))
+		}
+		for name, h := range ref {
+			if got[name] != h {
+				t.Errorf("workers=%d exportWorkers=%d: %s hash %s, want %s",
+					cfg.workers, cfg.exportWorkers, name, got[name], h)
+			}
+		}
+	}
+}
+
 // TestExportedDatasetGoldenDeterminism is the end-to-end determinism
 // contract: a Figure-3-style schema (LFR structure + SBM-Part match +
 // parallel property fill) must export byte-identical node, edge and
 // property files — hash-verified on disk, not just in memory — at
-// every scheduler worker count, every SBM-Part window size, every
-// export worker count and in every export format ("per-seed,
-// worker-invariant, format-stable").
+// every scheduler worker count, every export worker count and in
+// every export format ("per-seed, worker-invariant, format-stable").
 func TestExportedDatasetGoldenDeterminism(t *testing.T) {
-	ref := exportHashes(t, quickstartSchema(), 1, -1, -1, 1) // sequential plan, serial stream, serial export
+	ref := exportHashes(t, quickstartSchema(), 1, 1) // sequential plan, serial export
 	if len(ref) != 6 {
 		t.Fatalf("expected 6 exported files (csv+jsonl+columnar × nodes+edges), got %d", len(ref))
 	}
-	configs := []struct{ workers, window, exportWorkers int }{
-		{1, 64, 1},
-		{1, 1 << 20, 4}, // whole stream in one window
-		{runtime.NumCPU(), -1, runtime.NumCPU()},
-		{runtime.NumCPU(), 0, 0}, // auto window, auto export workers
-		{runtime.NumCPU(), 64, 8},
-		{4, 512, 2},
-	}
-	for _, cfg := range configs {
-		got := exportHashes(t, quickstartSchema(), cfg.workers, cfg.window, 0, cfg.exportWorkers)
-		if len(got) != len(ref) {
-			t.Fatalf("workers=%d window=%d: %d files, want %d", cfg.workers, cfg.window, len(got), len(ref))
-		}
-		for name, h := range ref {
-			if got[name] != h {
-				t.Errorf("workers=%d window=%d exportWorkers=%d: %s hash %s, want %s",
-					cfg.workers, cfg.window, cfg.exportWorkers, name, got[name], h)
-			}
-		}
-	}
+	checkExportConfigs(t, quickstartSchema, ref)
 }
 
 // refinedQuickstartSchema is the quickstart schema with re-streaming
@@ -117,39 +123,20 @@ func refinedQuickstartSchema() *schema.Schema {
 }
 
 // TestExportedRefinedDatasetGoldenDeterminism extends the contract to
-// the multi-pass matcher: with refinement passes in the schema, the
-// exported files must hash identically at every combination of
-// scheduler workers, first-pass window and refinement window —
-// including windowed-refinement-under-serial-first-pass and vice
-// versa.
+// the multi-pass matcher, whose refinement passes rebuild the joint
+// matrix sharded across workers.
 func TestExportedRefinedDatasetGoldenDeterminism(t *testing.T) {
-	ref := exportHashes(t, refinedQuickstartSchema(), 1, -1, -1, 1) // fully serial baseline
+	ref := exportHashes(t, refinedQuickstartSchema(), 1, 1) // fully serial baseline
 	if len(ref) != 6 {
 		t.Fatalf("expected 6 exported files, got %d", len(ref))
 	}
 	// The refined dataset must actually differ from the single-pass one
 	// (otherwise this test would silently duplicate the one above).
-	plain := exportHashes(t, quickstartSchema(), 1, -1, -1, 1)
+	plain := exportHashes(t, quickstartSchema(), 1, 1)
 	if plain["csv/edges_follows.csv"] == ref["csv/edges_follows.csv"] {
 		t.Fatal("refinement passes did not change the matched edge table")
 	}
-	configs := []struct{ workers, window, refineWindow, exportWorkers int }{
-		{1, -1, 64, 1},                               // serial first pass, windowed refinement
-		{runtime.NumCPU(), 64, -1, 0},                // windowed first pass, serial refinement
-		{runtime.NumCPU(), 64, 0, 0},                 // refinement inherits the first-pass window
-		{runtime.NumCPU(), 0, 512, 4},                // auto window, explicit refinement window
-		{4, 1 << 20, 1 << 20, 2},                     // whole stream in one window, both passes
-		{runtime.NumCPU(), 128, 7, runtime.NumCPU()}, // deliberately ragged window
-	}
-	for _, cfg := range configs {
-		got := exportHashes(t, refinedQuickstartSchema(), cfg.workers, cfg.window, cfg.refineWindow, cfg.exportWorkers)
-		for name, h := range ref {
-			if got[name] != h {
-				t.Errorf("workers=%d window=%d refine=%d exportWorkers=%d: %s hash %s, want %s",
-					cfg.workers, cfg.window, cfg.refineWindow, cfg.exportWorkers, name, got[name], h)
-			}
-		}
-	}
+	checkExportConfigs(t, refinedQuickstartSchema, ref)
 }
 
 // TestColumnarExportRoundTripsThroughEngine: the binary format must

@@ -446,8 +446,6 @@ func (e *Engine) matchMonopartite(st *runState, edge *schema.EdgeType, et *table
 	opt := match.DefaultOptions(seed)
 	opt.Passes = edge.Correlation.Passes
 	opt.Workers = e.Workers
-	opt.Window = e.MatchWindow
-	opt.RefineWindow = e.RefineWindow
 	res, err := match.MatchProperty(et, nTail, labels, target, opt)
 	if err != nil {
 		return "", err
@@ -505,13 +503,7 @@ func (e *Engine) matchBipartiteEdge(st *runState, edge *schema.EdgeType, et *tab
 	if err != nil {
 		return err
 	}
-	opt := match.DefaultOptions(seed)
-	// Same windowed-parallel knobs as the monopartite matcher: the
-	// matching is byte-identical at any {window, workers} setting, so
-	// these only move wall-clock.
-	opt.Workers = e.Workers
-	opt.Window = e.MatchWindow
-	res, err := match.MatchBipartite(et, nTail, nHead, tailLabels, headLabels, target, opt)
+	res, err := match.MatchBipartite(et, nTail, nHead, tailLabels, headLabels, target, match.DefaultOptions(seed))
 	if err != nil {
 		return err
 	}

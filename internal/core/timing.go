@@ -15,7 +15,7 @@ import (
 // whose cumulative duration bounds how fast the plan can possibly run
 // at infinite worker count. The report is what drives sharding
 // decisions: a task sitting on the critical path is worth
-// parallelising internally (windowed SBM-Part, sharded LFR); a task
+// parallelising internally (sharded LFR, sharded RMAT dedup); a task
 // off it only costs idle-worker time.
 
 // TaskTiming is one task's measurement within a run.

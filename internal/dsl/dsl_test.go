@@ -97,8 +97,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseBipartiteCorrelation(t *testing.T) {
-	src := `
+const bipartiteDSL = `
 graph shop {
   node User { count = 100
     property segment : string = categorical(values="a|b")
@@ -114,7 +113,9 @@ graph shop {
   }
 }
 `
-	s, err := Parse(src)
+
+func TestParseBipartiteCorrelation(t *testing.T) {
+	s, err := Parse(bipartiteDSL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,14 +125,15 @@ graph shop {
 	}
 }
 
-func TestParseEdgeCount(t *testing.T) {
-	src := `
+const edgeCountDSL = `
 graph g {
   node A { property x : int = uniform-int() }
   edge e : A *-* A { count = 5000 structure = rmat() }
 }
 `
-	s, err := Parse(src)
+
+func TestParseEdgeCount(t *testing.T) {
+	s, err := Parse(edgeCountDSL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,14 +142,15 @@ graph g {
 	}
 }
 
-func TestComments(t *testing.T) {
-	src := `
+const commentsDSL = `
 // top comment
 graph g { # inline
   node A { count = 5 } // trailing
 }
 `
-	s, err := Parse(src)
+
+func TestComments(t *testing.T) {
+	s, err := Parse(commentsDSL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,8 +249,7 @@ graph g {
 }`, "already has a correlation")
 }
 
-func TestParsePassesAndFused(t *testing.T) {
-	src := `
+const passesDSL = `
 graph g {
   node A { count = 10 property c : string = categorical(values="x|y") }
   edge e : A *-* A {
@@ -256,7 +258,9 @@ graph g {
   }
 }
 `
-	s, err := Parse(src)
+
+func TestParsePassesAndFused(t *testing.T) {
+	s, err := Parse(passesDSL)
 	if err != nil {
 		t.Fatal(err)
 	}

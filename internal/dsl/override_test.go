@@ -98,3 +98,21 @@ func TestOverrideRejections(t *testing.T) {
 		})
 	}
 }
+
+// TestOverrideNewlineRejectedByValidate: a string literal cannot hold a
+// newline, so an override that puts one in a parameter would make the
+// canonical text unparseable. Override itself takes any value; schema
+// validation, which every override path runs next, must refuse it.
+func TestOverrideNewlineRejectedByValidate(t *testing.T) {
+	s := overrideSchema(t)
+	if err := Override(s, map[string]string{"knows.mu": "0.3\n"}); err != nil {
+		t.Fatal(err)
+	}
+	err := s.Validate()
+	if err == nil {
+		t.Fatal("a newline in a structure parameter passed validation")
+	}
+	if !strings.Contains(err.Error(), "newline") {
+		t.Fatalf("error %q does not mention the newline", err)
+	}
+}

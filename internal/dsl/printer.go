@@ -77,7 +77,25 @@ func formatCall(g *schema.GeneratorSpec) string {
 	sort.Strings(keys)
 	parts := make([]string, len(keys))
 	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s=%q", k, g.Params[k])
+		parts[i] = k + "=" + quote(g.Params[k])
 	}
 	return g.Name + "(" + strings.Join(parts, ", ") + ")"
+}
+
+// quote renders a parameter value as a string literal the lexer reads
+// back byte for byte: the lexer takes `\X` as X and every other byte
+// raw, so only `\` and `"` are escaped. A newline cannot be written at
+// all; schema.Validate rejects it in a parameter value.
+func quote(v string) string {
+	var b strings.Builder
+	b.Grow(len(v) + 2)
+	b.WriteByte('"')
+	for i := 0; i < len(v); i++ {
+		if c := v[i]; c == '\\' || c == '"' {
+			b.WriteByte('\\')
+		}
+		b.WriteByte(v[i])
+	}
+	b.WriteByte('"')
+	return b.String()
 }

@@ -65,18 +65,11 @@ type Panel struct {
 	// Passes adds re-streaming refinement passes after the first
 	// streaming pass (0 = the paper's single-pass algorithm).
 	Passes int
-	// Window sets SBM-Part's windowed-parallel stream window
-	// (0 = matcher default, negative = serial). Byte-identical output
-	// at every setting.
-	Window int
 	// Workers bounds the panel's intra-task parallelism — LFR's
-	// sharded community wiring and SBM-Part's window scans
-	// (0 = NumCPU, 1 = serial). Byte-identical output at every count.
+	// sharded community wiring and the joint-matrix rebuild of
+	// SBM-Part's refinement passes (0 = NumCPU, 1 = serial).
+	// Byte-identical output at every count.
 	Workers int
-	// RefineWindow sets the stream window of the re-streaming
-	// refinement passes (0 = inherit the resolved Window, negative =
-	// serial refinement). Byte-identical output at every setting.
-	RefineWindow int
 }
 
 // Label renders the paper's panel naming, e.g. "LFR(10k,16)".
@@ -195,9 +188,7 @@ func RunPanel(p Panel) (*Result, error) {
 	}
 	part.Balance = !p.NoBalance
 	part.Seed = p.Seed ^ 0x3
-	part.Window = match.EffectiveWindow(p.Window, p.Workers)
 	part.Workers = p.Workers
-	part.RefineWindow = p.RefineWindow
 	var order []int64
 	switch p.Order {
 	case "", "random":

@@ -132,7 +132,6 @@ func MatchBipartite(et *table.EdgeTable, nTail, nHead int64, tailRowLabels, head
 	tw := make([]float64, kt*kh)
 	copy(tw, target.P)
 	cur := make([]float64, kt*kh)
-	var placedEdges float64
 
 	assignT := make([]int64, nTail)
 	assignH := make([]int64, nHead)
@@ -156,22 +155,14 @@ func MatchBipartite(et *table.EdgeTable, nTail, nHead int64, tailRowLabels, head
 	st := &bipState{
 		nTail: nTail, kt: kt, kh: kh,
 		tailAdj: tailAdj, headAdj: headAdj,
-		tw: tw, cur: cur, placedEdges: placedEdges,
+		tw: tw, cur: cur,
 		assignT: assignT, assignH: assignH,
 		usedT: usedT, usedH: usedH,
 		capT: capT, capH: capH,
 		order: order, balance: opt.Balance,
 		rnd: xrand.NewStream(opt.Seed).DeriveStream("bip-unconstrained"),
 	}
-	// The windowed path is byte-identical to the serial stream at every
-	// {window, workers} configuration (see bipartite_window.go); only
-	// the scan wall-clock changes.
-	if window := EffectiveWindow(opt.Window, opt.Workers); window > 1 {
-		err = st.runWindowed(window, opt.Workers)
-	} else {
-		err = st.runSerial()
-	}
-	if err != nil {
+	if err := st.run(); err != nil {
 		return nil, err
 	}
 
@@ -194,6 +185,116 @@ func MatchBipartite(et *table.EdgeTable, nTail, nHead int64, tailRowLabels, head
 		TailMapping: mapT, HeadMapping: mapH,
 		Observed: obs,
 	}, nil
+}
+
+// bipState is the streaming state of one bipartite matching run.
+type bipState struct {
+	nTail            int64
+	kt, kh           int
+	tailAdj, headAdj *adj
+	tw               []float64 // target P, row-major kt×kh
+	cur              []float64 // placed-edge counts per (tail,head) group pair
+	placedEdges      float64
+	assignT, assignH []int64
+	usedT, usedH     []int64
+	capT, capH       []int64
+	order            []int64 // combined stream: tails then heads offset by nTail
+	balance          bool
+	rnd              xrand.Stream
+}
+
+// run places the combined stream one node at a time: a tail node
+// (x < nTail) is scored against its placed head neighbours, a head
+// node (x >= nTail) against its placed tail neighbours.
+func (s *bipState) run() error {
+	kt, kh := s.kt, s.kh
+	cntH := make([]int64, kh)
+	cntT := make([]int64, kt)
+	var touched []int
+	// Scratch for pickGroup's per-placement scores, sized for either
+	// side and reused across the whole stream; the delta closures are
+	// likewise hoisted out of the loop (they read the loop state through
+	// captured variables), so placements allocate nothing per node.
+	scratch := make([]float64, max(kt, kh))
+	var scale float64
+	tailDelta := func(t int) float64 {
+		var d float64
+		for _, j := range touched {
+			c := float64(cntH[j])
+			a := s.cur[t*kh+j] - scale*s.tw[t*kh+j]
+			d += c * (2*a + c)
+		}
+		return d
+	}
+	headDelta := func(h int) float64 {
+		var d float64
+		for _, i := range touched {
+			c := float64(cntT[i])
+			a := s.cur[i*kh+h] - scale*s.tw[i*kh+h]
+			d += c * (2*a + c)
+		}
+		return d
+	}
+
+	for _, x := range s.order {
+		if x < s.nTail {
+			v := x
+			// Count placed head neighbours per head group.
+			touched = touched[:0]
+			for _, u := range s.tailAdj.neighbors(v) {
+				if a := s.assignH[u]; a != Unassigned {
+					if cntH[a] == 0 {
+						touched = append(touched, int(a))
+					}
+					cntH[a]++
+				}
+			}
+			var cv float64
+			for _, j := range touched {
+				cv += float64(cntH[j])
+			}
+			scale = s.placedEdges + cv
+			best := pickGroup(kt, s.usedT, s.capT, tailDelta, len(touched) > 0, s.balance, s.rnd, x, scratch)
+			if best < 0 {
+				return fmt.Errorf("match: no feasible tail group for node %d", v)
+			}
+			for _, j := range touched {
+				s.placedEdges += float64(cntH[j])
+				s.cur[int(best)*kh+j] += float64(cntH[j])
+				cntH[j] = 0
+			}
+			s.assignT[v] = best
+			s.usedT[best]++
+		} else {
+			v := x - s.nTail
+			touched = touched[:0]
+			for _, u := range s.headAdj.neighbors(v) {
+				if a := s.assignT[u]; a != Unassigned {
+					if cntT[a] == 0 {
+						touched = append(touched, int(a))
+					}
+					cntT[a]++
+				}
+			}
+			var cv float64
+			for _, i := range touched {
+				cv += float64(cntT[i])
+			}
+			scale = s.placedEdges + cv
+			best := pickGroup(kh, s.usedH, s.capH, headDelta, len(touched) > 0, s.balance, s.rnd, x, scratch)
+			if best < 0 {
+				return fmt.Errorf("match: no feasible head group for node %d", v)
+			}
+			for _, i := range touched {
+				s.placedEdges += float64(cntT[i])
+				s.cur[i*kh+int(best)] += float64(cntT[i])
+				cntT[i] = 0
+			}
+			s.assignH[v] = best
+			s.usedH[best]++
+		}
+	}
+	return nil
 }
 
 // pickGroup applies SBM-Part's placement rule over one side's groups.

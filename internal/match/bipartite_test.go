@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"datasynth/internal/sgen"
 	"datasynth/internal/table"
 )
 
@@ -190,5 +191,65 @@ func TestBuildAdj(t *testing.T) {
 	}
 	if n := a.neighbors(2); len(n) != 1 || n[0] != 7 {
 		t.Errorf("neighbors(2) = %v", n)
+	}
+}
+
+// bipartiteFixture builds a moderately sized *→* bipartite edge table
+// (Zipf attachment: skewed out-degrees and head popularity) plus row
+// labellings for both domains and the joint they induce as the
+// matching target.
+func bipartiteFixture(t testing.TB, nTail, nHead int64, kt, kh int) (*table.EdgeTable, []int64, []int64, *BipartiteTarget) {
+	t.Helper()
+	gen := sgen.NewZipfAttachment(1, 12, 2.2, 1.1, 41)
+	et, err := gen.RunBipartite(nTail, nHead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tailLabels := make([]int64, nTail)
+	for i := range tailLabels {
+		tailLabels[i] = int64(i % kt)
+	}
+	headLabels := make([]int64, nHead)
+	for i := range headLabels {
+		headLabels[i] = int64(i % kh)
+	}
+	target, err := EmpiricalBipartite(et, tailLabels, headLabels, kt, kh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return et, tailLabels, headLabels, target
+}
+
+func matchBipartiteFixture(t testing.TB, et *table.EdgeTable, nTail, nHead int64, tailLabels, headLabels []int64, target *BipartiteTarget) *BipartiteResult {
+	t.Helper()
+	res, err := MatchBipartite(et, nTail, nHead, tailLabels, headLabels, target, DefaultOptions(63))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestMatchBipartiteGoldenHash pins a bipartite matching — both
+// assignment vectors and both mappings. The hash predates the removal
+// of the windowed bipartite matcher (it was the same at every window
+// and worker count); a change means existing seeds produce different
+// matchings — an intentional break of the per-seed reproducibility
+// contract that must bump core.SchemaVersion.
+func TestMatchBipartiteGoldenHash(t *testing.T) {
+	const nTail, nHead = 6000, 3000
+	const want = "aab8a38b8a4f27e925b9f39483b6cffeaa22dce5a8bd4b7f5c463803e1daf5f4"
+	et, tailLabels, headLabels, target := bipartiteFixture(t, nTail, nHead, 12, 6)
+	res := matchBipartiteFixture(t, et, nTail, nHead, tailLabels, headLabels, target)
+	if got := int64sSHA256(res.TailAssign, res.HeadAssign, res.TailMapping, res.HeadMapping); got != want {
+		t.Fatalf("bipartite matching fingerprint %s, want %s", got, want)
+	}
+}
+
+func BenchmarkMatchBipartiteSerial(b *testing.B) {
+	const nTail, nHead = 30000, 15000
+	et, tailLabels, headLabels, target := bipartiteFixture(b, nTail, nHead, 16, 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		matchBipartiteFixture(b, et, nTail, nHead, tailLabels, headLabels, target)
 	}
 }

@@ -2,7 +2,6 @@ package match
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"datasynth/internal/graph"
@@ -71,41 +70,19 @@ type Options struct {
 	// Passes adds re-streaming refinement passes (see
 	// SBMPart.PartitionMultiPass).
 	Passes int
-	// Window sets the windowed-parallel streaming window size:
-	// 0 picks DefaultWindow, negative (or 1) forces the serial path.
-	// The partition is byte-identical at every window size.
-	Window int
-	// Workers bounds the scan-phase concurrency (0 = NumCPU, 1 =
-	// serial). The partition is byte-identical at every worker count.
+	// Workers bounds the parallel joint-matrix rebuild of the
+	// refinement passes (0 = NumCPU, 1 = serial). The partition is
+	// byte-identical at every worker count.
 	Workers int
-	// RefineWindow sets the stream window of the re-streaming
-	// refinement passes: 0 inherits the resolved Window, negative (or
-	// 1) keeps refinement serial. The refined partition is
-	// byte-identical at every setting.
-	RefineWindow int
 }
 
-// DefaultWindow is the stream window used when Options.Window is 0 —
-// large enough to amortise the scan fan-out, small enough that the
-// frozen snapshot stays fresh (few pending neighbours per node).
+// DefaultWindow is not read by this package.
+//
+// Deprecated: Partition ignores SBMPart.Window, whatever its value.
+// The name exists only so the benchmark harness in perfbench/ builds;
+// it goes with SBMPart.Window when that harness's windowed lane is
+// retired.
 const DefaultWindow = 2048
-
-// EffectiveWindow resolves the (Window, Workers) pair into a concrete
-// SBMPart.Window: an explicit window wins; auto (0) picks
-// DefaultWindow only when the scan phase has real parallelism to
-// exploit (more than one worker available), and the cheaper serial
-// stream otherwise. The partition bytes are identical either way —
-// this is purely a wall-clock policy, kept in one place so every
-// caller (engine, experiment harness, CLI) agrees.
-func EffectiveWindow(window, workers int) int {
-	if window != 0 {
-		return window
-	}
-	if workers == 1 || (workers <= 0 && runtime.NumCPU() == 1) {
-		return 1
-	}
-	return DefaultWindow
-}
 
 // DefaultOptions returns the paper's configuration.
 func DefaultOptions(seed uint64) Options {
@@ -156,9 +133,7 @@ func MatchProperty(et *table.EdgeTable, n int64, rowLabels []int64, target *stat
 	}
 	part.Balance = opt.Balance
 	part.Seed = opt.Seed
-	part.Window = EffectiveWindow(opt.Window, opt.Workers)
 	part.Workers = opt.Workers
-	part.RefineWindow = opt.RefineWindow
 	order := opt.Order
 	if order == nil {
 		order = RandomOrder(n, opt.Seed)

@@ -49,25 +49,17 @@ type SBMPart struct {
 	// placed neighbours: they are assigned pseudo-randomly, weighted by
 	// remaining capacity, so no group soaks up all early-stream nodes.
 	Seed uint64
-	// Window enables the windowed-parallel streaming mode: the stream
-	// is processed in fixed-size windows whose nodes are scanned
-	// concurrently against a frozen snapshot of the partial assignment,
-	// then committed sequentially in stream order (restreamed-LDG
-	// style). The committed partition is byte-identical to the serial
-	// stream at every window size and worker count; see
-	// partitionWindowed. Window <= 1 keeps the fully serial path.
+	// Window is not read by this package.
+	//
+	// Deprecated: Partition ignores Window and always runs the one
+	// serial stream. The field exists only so the benchmark harness in
+	// perfbench/ builds; it goes when that harness's windowed lane is
+	// retired.
 	Window int
-	// Workers bounds the concurrency of the windowed scan phase;
-	// 0 means NumCPU, 1 scans serially (still byte-identical).
+	// Workers bounds the parallel joint-matrix rebuild that opens every
+	// refinement pass of PartitionMultiPass; 0 means NumCPU, 1 rebuilds
+	// serially. The partition is byte-identical at every count.
 	Workers int
-	// RefineWindow sets the stream window of the re-streaming
-	// refinement passes (PartitionMultiPass): 0 inherits Window,
-	// <= 1 (or negative) keeps refinement fully serial, anything larger
-	// runs each refinement pass through the same parallel scan /
-	// sequential commit split as the first pass. The refined partition
-	// is byte-identical at every window size and worker count; see
-	// refinePassWindowed.
-	RefineWindow int
 	// FinalTarget scores placements against the *final* absolute target
 	// matrix W = m·P instead of the default proportional target
 	// W(s) = m_placed·P. The final-target variant reads the paper most
@@ -145,10 +137,6 @@ func (p *SBMPart) Partition(g *graph.Graph, order []int64) ([]int64, error) {
 	}
 	if totalCap < n {
 		return nil, fmt.Errorf("match: total capacity %d below node count %d", totalCap, n)
-	}
-
-	if p.Window > 1 {
-		return p.partitionWindowed(g, order, p.Window)
 	}
 
 	k := p.K

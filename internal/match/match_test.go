@@ -1,6 +1,9 @@
 package match
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -554,6 +557,82 @@ func TestPartitionScratchReuse(t *testing.T) {
 			if first[v] != again[v] {
 				t.Fatalf("run %d: node %d assigned %d, first run gave %d", run, v, again[v], first[v])
 			}
+		}
+	}
+}
+
+// lfrFixture builds a moderately sized LFR graph plus a homophilous
+// target/capacity pair.
+func lfrFixture(t testing.TB, n int64, k int) (*graph.Graph, *stats.Joint, []int64) {
+	t.Helper()
+	l := sgen.NewLFR(17)
+	et, err := l.Run(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.FromEdgeTable(et, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := make([]int64, k)
+	for i := range sizes {
+		sizes[i] = n / int64(k)
+	}
+	sizes[0] += n - sizes[0]*int64(k)
+	target, err := stats.HomophilyJoint(sizes, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, target, sizes
+}
+
+// int64sSHA256 fingerprints int64 vectors, in order, as little-endian
+// bytes.
+func int64sSHA256(vecs ...[]int64) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, vec := range vecs {
+		for _, v := range vec {
+			binary.LittleEndian.PutUint64(buf[:], uint64(v))
+			h.Write(buf[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestPartitionGoldenHash pins the first streaming pass on an LFR
+// fixture. The hash was taken while the windowed matcher still existed
+// and matched the serial stream at every window and worker count, so
+// it also proves the serial stream kept those bytes. A change means
+// existing seeds produce different partitions — an intentional break
+// of the per-seed reproducibility contract that must bump
+// core.SchemaVersion.
+func TestPartitionGoldenHash(t *testing.T) {
+	const want = "a37ecc74fc14168b491085a94d8d3fed126633facd67e3c527ff9c128d02c11d"
+	g, target, sizes := lfrFixture(t, 2*rebuildMinShard, 16)
+	part, err := NewSBMPart(target, sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part.Seed = 99
+	assign, err := part.Partition(g, RandomOrder(g.N(), 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := int64sSHA256(assign); got != want {
+		t.Fatalf("partition fingerprint %s, want %s", got, want)
+	}
+}
+
+func BenchmarkPartitionSerial(b *testing.B) {
+	g, target, sizes := lfrFixture(b, 30000, 16)
+	order := RandomOrder(g.N(), 5)
+	part, _ := NewSBMPart(target, sizes)
+	part.Seed = 99
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := part.Partition(g, order); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package match
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"datasynth/internal/graph"
@@ -25,15 +26,9 @@ import (
 // random vs 0.29 → 0.08 degree-ordered on LFR(5k,16)). Per-pass
 // complexity stays O(Σ deg(v) + n·k).
 //
-// Like the first pass, refinement passes run windowed when RefineWindow
-// (or, by inheritance, Window) exceeds 1: a parallel scan phase
-// classifies every window node's neighbourhood against a frozen hybrid
-// snapshot, a sequential commit phase replays the window in refinement
-// order and patches in the neighbours re-placed earlier in the same
-// window. The refined partition is byte-identical to the serial pass at
-// every window size and worker count — including the floating-point
-// summation order of the vacate/re-add joint-matrix updates; see
-// refinePassWindowed.
+// Each pass opens with a rebuild of the joint matrix of the previous
+// assignment, sharded across Workers (see rebuildJointMatrix); the
+// stream itself is serial.
 func (p *SBMPart) PartitionMultiPass(g *graph.Graph, order []int64, extra int) ([]int64, error) {
 	if extra < 0 {
 		return nil, fmt.Errorf("match: negative refinement passes")
@@ -58,20 +53,9 @@ func (p *SBMPart) PartitionMultiPass(g *graph.Graph, order []int64, extra int) (
 	cur := make([]float64, k*k)
 	cnt := make([]int64, k)
 	touched := make([]int, 0, k)
-	// usedNew is the per-pass quota ledger. It is hoisted out of the
-	// pass loop (it used to be reallocated every pass) and zeroed in
-	// place; refinement only ever reads and bumps it inside the
-	// sequential commit loop, which is what keeps the quota accounting
-	// — and with it the isolated-node first-feasible fallback —
-	// independent of the worker count.
+	// usedNew is the per-pass quota ledger, zeroed in place each pass.
 	usedNew := make([]int64, k)
 	refineOrder := DegreeDescOrder(g)
-
-	window := p.refineWindowSize(n)
-	var ws *refineWindowState
-	if window > 1 {
-		ws = newRefineWindowState(refineOrder, n, window, p.Workers, k)
-	}
 
 	// Per-pass joint-matrix rebuild shards: resolved once, scratch
 	// allocated once and reused across passes.
@@ -98,12 +82,7 @@ func (p *SBMPart) PartitionMultiPass(g *graph.Graph, order []int64, extra int) (
 		// rebuilt sharded across workers, exactly — see
 		// rebuildJointMatrix.
 		rebuildJointMatrix(g, prev, cur, kk, rebuildWorkers, rebuildScratch)
-		if ws != nil {
-			err = p.refinePassWindowed(g, ws, prev, assign, cur, usedNew, targetP, m, cnt, touched)
-		} else {
-			err = p.refinePassSerial(g, refineOrder, prev, assign, cur, usedNew, targetP, m, cnt, touched)
-		}
-		if err != nil {
+		if err := p.refinePass(g, refineOrder, prev, assign, cur, usedNew, targetP, m, cnt, touched); err != nil {
 			return nil, err
 		}
 		p.PassTimes = append(p.PassTimes, time.Since(passStart))
@@ -120,7 +99,7 @@ const rebuildMinShard = 4096
 // uses: the partitioner's worker bound, capped by the shard floor.
 func rebuildJointWorkers(workers int, n int64) int {
 	if workers <= 0 {
-		workers = defaultWorkers()
+		workers = runtime.NumCPU()
 	}
 	if max := n / rebuildMinShard; int64(workers) > max {
 		workers = int(max)
@@ -190,98 +169,59 @@ func rebuildJointRange(g *graph.Graph, prev []int64, cur []float64, kk, lo, hi i
 	}
 }
 
-// refineWindowSize resolves the refinement window: an explicit
-// RefineWindow wins, 0 inherits the first pass's Window, and the result
-// is clamped to the stream length exactly like partitionWindowed.
-func (p *SBMPart) refineWindowSize(n int64) int {
-	w := p.RefineWindow
-	if w == 0 {
-		w = p.Window
-	}
-	if w <= 1 {
-		return 1
-	}
-	if int64(w) > n {
-		w = int(n)
-		if w < 2 {
-			w = 2
-		}
-	}
-	return w
-}
-
-// refinePassSerial is one re-streaming pass over refineOrder: the
-// reference implementation the windowed pass must reproduce byte for
-// byte. assign arrives all-Unassigned and usedNew all-zero; cur holds
-// the joint matrix of prev.
-func (p *SBMPart) refinePassSerial(g *graph.Graph, refineOrder, prev, assign []int64, cur []float64, usedNew []int64, targetP []float64, m float64, cnt []int64, touched []int) error {
-	hybrid := func(u int64) int64 {
-		if a := assign[u]; a != Unassigned {
-			return a
-		}
-		return prev[u]
-	}
+// refinePass is one re-streaming pass over refineOrder. assign
+// arrives all-Unassigned and usedNew all-zero; cur holds the joint
+// matrix of prev. Each node vacates its previous contributions from
+// cur, is placed, and re-adds them under its new group.
+func (p *SBMPart) refinePass(g *graph.Graph, refineOrder, prev, assign []int64, cur []float64, usedNew []int64, targetP []float64, m float64, cnt []int64, touched []int) error {
+	kk := int64(p.K)
 	for _, v := range refineOrder {
-		// Neighbour groups under the hybrid assignment.
+		// Neighbour groups under the hybrid assignment: the new group
+		// if already re-placed this pass, else the previous one.
 		touched = touched[:0]
 		for _, u := range g.Neighbors(v) {
 			if u == v {
 				continue
 			}
-			a := hybrid(u)
+			a := assign[u]
+			if a == Unassigned {
+				a = prev[u]
+			}
 			if cnt[a] == 0 {
 				touched = append(touched, int(a))
 			}
 			cnt[a]++
 		}
-		best, err := p.refineCommit(v, prev[v], cur, targetP, m, usedNew, cnt, touched)
+		old := prev[v]
+		for _, j := range touched {
+			c := float64(cnt[j])
+			cur[old*kk+int64(j)] -= c
+			if int64(j) != old {
+				cur[int64(j)*kk+old] -= c
+			}
+		}
+		best, err := p.refinePlace(v, old, cur, targetP, m, usedNew, cnt, touched)
 		if err != nil {
 			return err
 		}
+		for _, j := range touched {
+			c := float64(cnt[j])
+			cur[best*kk+int64(j)] += c
+			if int64(j) != best {
+				cur[int64(j)*kk+best] += c
+			}
+			cnt[j] = 0
+		}
+		usedNew[best]++
 		assign[v] = best
 	}
 	return nil
 }
 
-// refineCommit is the determinism-critical tail of one refinement
-// placement, shared verbatim by the serial and windowed passes so the
-// floating-point update order can never diverge between them: vacate
-// v's previous contributions from the joint matrix (touched must
-// already be in serial first-occurrence order), pick the target group,
-// re-add the contributions under it, clear the sparse counts and bump
-// the quota ledger.
-func (p *SBMPart) refineCommit(v, old int64, cur, targetP []float64, m float64, usedNew, cnt []int64, touched []int) (int64, error) {
-	kk := int64(p.K)
-	for _, j := range touched {
-		c := float64(cnt[j])
-		cur[old*kk+int64(j)] -= c
-		if int64(j) != old {
-			cur[int64(j)*kk+old] -= c
-		}
-	}
-	best, err := p.refinePlace(v, old, cur, targetP, m, usedNew, cnt, touched)
-	if err != nil {
-		return -1, err
-	}
-	for _, j := range touched {
-		c := float64(cnt[j])
-		cur[best*kk+int64(j)] += c
-		if int64(j) != best {
-			cur[int64(j)*kk+best] += c
-		}
-		cnt[j] = 0
-	}
-	usedNew[best]++
-	return best, nil
-}
-
 // refinePlace picks the refinement target group for node v: the
 // Frobenius score against the full-matrix target, or — for isolated
 // nodes — the previous group if quota allows, else the first feasible
-// group by index. The fallback scan reads only usedNew, which is
-// mutated exclusively by the sequential commit loop, so its outcome is
-// a pure function of the commit prefix: deterministic at any window
-// size and worker count.
+// group by index.
 func (p *SBMPart) refinePlace(v, old int64, cur, targetP []float64, m float64, usedNew, cnt []int64, touched []int) (int64, error) {
 	var best int64
 	if len(touched) == 0 {
@@ -303,187 +243,4 @@ func (p *SBMPart) refinePlace(v, old int64, cur, targetP []float64, m float64, u
 		return -1, fmt.Errorf("match: refinement pass has no feasible group for node %d", v)
 	}
 	return best, nil
-}
-
-// refineWindowState is the per-call scratch of the windowed refinement
-// passes: the refinement stream, its rank index, and the scan arenas —
-// allocated once, reused across windows and passes.
-type refineWindowState struct {
-	order []int64 // refinement stream (degree descending)
-	// rank[v] is v's position in order. A neighbour that is unassigned
-	// at the scan snapshot but ranked beyond the current window cannot
-	// be re-placed before any node of the window commits, so its hybrid
-	// group is its previous-pass group — the scan resolves it
-	// immediately and only same-window neighbours stay pending.
-	rank    []int64
-	window  int
-	workers int
-
-	// Per-window arenas; node i of the window owns the disjoint range
-	// [scanOff[i], scanOff[i+1]).
-	scanOff  []int64
-	preLen   []int32 // settled (group,count,pos) triples per node
-	pendLen  []int32 // pending same-window neighbours per node
-	preGroup []int32 // arena: settled group ids
-	preCount []int32 // arena: settled per-group counts
-	prePos   []int32 // arena: settled first scan positions
-	pendBuf  []int64 // arena: pending neighbour ids
-	pendPos  []int32 // arena: pending scan positions
-	pos      []int32 // commit-phase first-occurrence position per group
-}
-
-func newRefineWindowState(order []int64, n int64, window, workers, k int) *refineWindowState {
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	if workers > window {
-		workers = window
-	}
-	rank := make([]int64, n)
-	for i, v := range order {
-		rank[v] = int64(i)
-	}
-	return &refineWindowState{
-		order:   order,
-		rank:    rank,
-		window:  window,
-		workers: workers,
-		scanOff: make([]int64, window+1),
-		preLen:  make([]int32, window),
-		pendLen: make([]int32, window),
-		pos:     make([]int32, k),
-	}
-}
-
-// refinePassWindowed is one re-streaming pass with the scan/commit
-// split of partitionWindowed applied to the hybrid assignment:
-//
-//  1. Scan phase (parallel): every window node's neighbourhood is
-//     classified against a frozen snapshot. A neighbour placed before
-//     the window start is settled under its new group; a neighbour
-//     ranked beyond the window is settled under its previous-pass group
-//     (it cannot move until after this window commits); a same-window
-//     neighbour is pending — its hybrid group depends on the commit
-//     order — and is recorded verbatim with its scan position.
-//  2. Commit phase (sequential, refinement order): each node's settled
-//     counts are patched with the pending neighbours' live groups
-//     (new-assignment-if-placed, else previous-pass), the touched list
-//     is re-sorted to the serial first-occurrence order, and the
-//     vacate → score → re-add sequence runs against the live joint
-//     matrix and quota ledger — the same inputs, summed in the same
-//     floating-point order, as refinePassSerial.
-//
-// The committed pass is therefore byte-identical to the serial pass at
-// every window size and worker count; only the neighbourhood-scan wall
-// time is amortised across cores.
-func (p *SBMPart) refinePassWindowed(g *graph.Graph, ws *refineWindowState, prev, assign []int64, cur []float64, usedNew []int64, targetP []float64, m float64, cnt []int64, touched []int) error {
-	k := p.K
-	n := g.N()
-	pos := ws.pos
-
-	for w0 := int64(0); w0 < n; w0 += int64(ws.window) {
-		w1 := w0 + int64(ws.window)
-		if w1 > n {
-			w1 = n
-		}
-		wn := int(w1 - w0)
-		win := ws.order[w0:w1]
-
-		ws.scanOff[0] = 0
-		for i := 0; i < wn; i++ {
-			ws.scanOff[i+1] = ws.scanOff[i] + g.Degree(win[i])
-		}
-		if need := ws.scanOff[wn]; int64(cap(ws.pendBuf)) < need {
-			ws.pendBuf = make([]int64, need)
-			ws.pendPos = make([]int32, need)
-			ws.preGroup = make([]int32, need)
-			ws.preCount = make([]int32, need)
-			ws.prePos = make([]int32, need)
-		}
-
-		// Scan phase: static contiguous chunks over the frozen snapshot
-		// (assign is not written until every scan worker has finished).
-		scan := func(lo, hi int, cnt []int64, posLoc []int32, tl []int32) {
-			for i := lo; i < hi; i++ {
-				v := win[i]
-				base := ws.scanOff[i]
-				tl = tl[:0]
-				var npend int64
-				for si, u := range g.Neighbors(v) {
-					if u == v {
-						continue
-					}
-					a := assign[u]
-					if a == Unassigned {
-						if ws.rank[u] < w1 {
-							// Same-window neighbour: may be re-placed by
-							// an earlier commit of this window.
-							ws.pendBuf[base+npend] = u
-							ws.pendPos[base+npend] = int32(si)
-							npend++
-							continue
-						}
-						a = prev[u]
-					}
-					if cnt[a] == 0 {
-						posLoc[a] = int32(si)
-						tl = append(tl, int32(a))
-					}
-					cnt[a]++
-				}
-				for j, a := range tl {
-					ws.preGroup[base+int64(j)] = a
-					ws.preCount[base+int64(j)] = int32(cnt[a])
-					ws.prePos[base+int64(j)] = posLoc[a]
-					cnt[a] = 0
-				}
-				ws.preLen[i] = int32(len(tl))
-				ws.pendLen[i] = int32(npend)
-			}
-		}
-		if ws.workers == 1 || wn == 1 {
-			scan(0, wn, cnt, pos, make([]int32, 0, k))
-		} else {
-			runScanChunks(wn, ws.workers, k, scan)
-		}
-
-		// Commit phase: sequential, refinement order, live state.
-		for i := 0; i < wn; i++ {
-			v := win[i]
-			old := prev[v]
-			base := ws.scanOff[i]
-			touched = touched[:0]
-			for j := int64(0); j < int64(ws.preLen[i]); j++ {
-				a := int64(ws.preGroup[base+j])
-				cnt[a] = int64(ws.preCount[base+j])
-				pos[a] = ws.prePos[base+j]
-				touched = append(touched, int(a))
-			}
-			// Patch in the live hybrid group of every pending neighbour:
-			// its new group if an earlier commit of this window placed
-			// it, its previous-pass group otherwise.
-			for j := int64(0); j < int64(ws.pendLen[i]); j++ {
-				u := ws.pendBuf[base+j]
-				a := assign[u]
-				if a == Unassigned {
-					a = prev[u]
-				}
-				if cnt[a] == 0 {
-					pos[a] = ws.pendPos[base+j]
-					touched = append(touched, int(a))
-				} else if sp := ws.pendPos[base+j]; sp < pos[a] {
-					pos[a] = sp
-				}
-				cnt[a]++
-			}
-			sortTouchedByPos(touched, pos)
-
-			best, err := p.refineCommit(v, old, cur, targetP, m, usedNew, cnt, touched)
-			if err != nil {
-				return err
-			}
-			assign[v] = best
-		}
-	}
-	return nil
 }

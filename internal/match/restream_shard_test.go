@@ -81,9 +81,9 @@ func TestRebuildJointWorkersGate(t *testing.T) {
 func TestMultiPassShardedRebuildByteIdentical(t *testing.T) {
 	const n, k = 2 * rebuildMinShard, 8
 	g, target, sizes := lfrFixture(t, n, k)
-	ref := multiPassWith(t, g, target, sizes, 2, 1, 1, 1)
+	ref := multiPassWith(t, g, target, sizes, 2, 1)
 	for _, workers := range []int{2, 4} {
-		got := multiPassWith(t, g, target, sizes, 2, 1, -1, workers)
+		got := multiPassWith(t, g, target, sizes, 2, workers)
 		for v := range ref {
 			if got[v] != ref[v] {
 				t.Fatalf("workers=%d: node %d assigned %d, serial %d", workers, v, got[v], ref[v])

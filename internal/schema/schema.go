@@ -10,6 +10,9 @@ package schema
 
 import (
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
 
 	"datasynth/internal/table"
 )
@@ -235,6 +238,9 @@ func (s *Schema) Validate() error {
 		if e.Structure.Name == "" {
 			return fmt.Errorf("schema: edge %q has no structure generator", e.Name)
 		}
+		if err := validateParams(e.Name, &e.Structure); err != nil {
+			return err
+		}
 		if e.Cardinality == ManyToMany && e.Tail != e.Head && e.Correlation != nil && e.Correlation.Property != "" {
 			return fmt.Errorf("schema: edge %q correlates a single property across different endpoint types; use tail/head properties", e.Name)
 		}
@@ -321,6 +327,9 @@ func validateProps(owner string, props []Property, depOK func(string) bool) erro
 		if p.Generator.Name == "" {
 			return fmt.Errorf("schema: %s.%s has no generator", owner, p.Name)
 		}
+		if err := validateParams(owner+"."+p.Name, &p.Generator); err != nil {
+			return err
+		}
 		for _, dep := range p.DependsOn {
 			if dep == p.Name {
 				return fmt.Errorf("schema: %s.%s depends on itself", owner, p.Name)
@@ -328,6 +337,19 @@ func validateProps(owner string, props []Property, depOK func(string) bool) erro
 			if !depOK(dep) {
 				return fmt.Errorf("schema: %s.%s depends on unknown property %q", owner, p.Name, dep)
 			}
+		}
+	}
+	return nil
+}
+
+// validateParams rejects a generator parameter value the DSL cannot
+// express: a string literal cannot span lines, so a newline would make
+// the canonical text (dsl.Print) unparseable. A parsed schema never
+// holds one; a parameter override can.
+func validateParams(owner string, g *GeneratorSpec) error {
+	for _, k := range slices.Sorted(maps.Keys(g.Params)) {
+		if strings.ContainsRune(g.Params[k], '\n') {
+			return fmt.Errorf("schema: %s: %s parameter %q contains a newline", owner, g.Name, k)
 		}
 	}
 	return nil

@@ -9,7 +9,7 @@
 // with singleflight collapsing of concurrent identical submissions.
 // Both are sound only because of the engine's determinism contract: a
 // dataset is a pure function of its key, byte-identical at any worker
-// count, window size, or scheduling order, so a cache hit is provably
+// count or scheduling order, so a cache hit is provably
 // byte-identical to regeneration and N concurrent identical submits
 // need exactly one generation.
 //
@@ -702,8 +702,7 @@ func (s *Service) executeJob(j *Job) error {
 	report := eng.Report()
 	// The match phase is carved out of the generate wall from the
 	// timings the engine already records: the summed duration of the
-	// run's match tasks — the paper pipeline's dominant stage, and the
-	// one the windowed matchers parallelise.
+	// run's match tasks — the paper pipeline's dominant stage.
 	var matchWall time.Duration
 	for i := range report.Timings {
 		if report.Timings[i].Kind == depgraph.TaskMatch {
